@@ -118,6 +118,7 @@ std::uint64_t MemoryController::StartDmaTransfer(int bus,
   transfer->on_complete = std::move(on_complete);
 
   popularity_.Record(logical_page);
+  if (monitor_ != nullptr) unseen_.push_back(transfer);
   ++stats_.transfers_started;
   ++transfers_per_chip_[static_cast<std::size_t>(transfer->chip_index)];
 
@@ -289,6 +290,13 @@ void MemoryController::CompleteTransfer(DmaTransfer* transfer,
                           transfer->obs_was_gated, transfer->total_bytes);
   }
 #endif
+  if (monitor_ != nullptr && !transfer->monitor_seen) {
+    // Released before any probe saw it: the probe must not observe it.
+    const auto it = std::find(unseen_.begin(), unseen_.end(), transfer);
+    DMASIM_CHECK(it != unseen_.end());
+    *it = unseen_.back();
+    unseen_.pop_back();
+  }
   Callback on_complete = std::move(transfer->on_complete);
   pool_.Release(transfer);
   if (on_complete) on_complete(completion);
@@ -487,18 +495,31 @@ void MemoryController::ScheduleLayoutInterval() {
 
 void MemoryController::ScheduleMonitorSample() {
   simulator_->ScheduleAfter(config_.monitor.sampling_interval, [this]() {
-    // Occupancy probe: attribute each in-flight transfer not yet seen by
-    // an earlier probe to its region (edge-triggered; see DmaTransfer).
+    // Occupancy probe: attribute each transfer started since the last
+    // probe and still in flight to its region (edge-triggered; see
+    // DmaTransfer::monitor_seen). Observations go in pool-slot order —
+    // the order a walk over the pool's slabs would visit them, whatever
+    // order they started in — because a split depends on the regions
+    // earlier observations left behind. The event fires every interval
+    // even when nothing is new: dropping it would move the kernel's
+    // pending-event horizon, which DMA-TA-PL results still depend on
+    // (see MemoryChip::ServeRequest).
+    //
     // Invisible to the simulated hardware, so coalesced runs need no
-    // settling — the kernel's pending-event horizon guarantees that any
-    // transfer completing before this event has already been released,
-    // and a mid-run descriptor's page/chip fields are stable.
+    // settling: the kernel's pending-event horizon guarantees that any
+    // transfer completing before this event has already been released
+    // (and dropped from unseen_), and a mid-run descriptor's page/chip
+    // fields are stable.
     monitor_->BeginProbe();
-    pool_.ForEachActive([this](DmaTransfer& transfer) {
-      if (transfer.monitor_seen) return;
-      transfer.monitor_seen = true;
-      monitor_->ObserveTransfer(transfer.physical_page, transfer.chip_index);
-    });
+    std::sort(unseen_.begin(), unseen_.end(),
+              [](const DmaTransfer* a, const DmaTransfer* b) {
+                return a->pool_slot < b->pool_slot;
+              });
+    for (DmaTransfer* transfer : unseen_) {
+      transfer->monitor_seen = true;
+      monitor_->ObserveTransfer(transfer->physical_page, transfer->chip_index);
+    }
+    unseen_.clear();
     ScheduleMonitorSample();
   });
 }

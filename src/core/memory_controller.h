@@ -246,6 +246,10 @@ class MemoryController : public DmaRequestSink {
   std::unique_ptr<RegionMonitor> monitor_;  // Null when disabled.
 
   TransferPool pool_;
+  // Transfers started since the last occupancy probe and still in flight
+  // (monitor enabled only). The probe observes these and nothing else, so
+  // its cost follows the transfer rate, not the pool size.
+  std::vector<DmaTransfer*> unseen_;
   std::uint64_t next_transfer_id_ = 1;
   std::uint64_t layout_intervals_run_ = 0;
 

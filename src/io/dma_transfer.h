@@ -62,17 +62,24 @@ struct DmaTransfer {
   std::int64_t run_chunks_left = 0;
   std::uint64_t run_generation = 0;
 
+  // Stable index of this descriptor's slot in its TransferPool (slab
+  // number, then position in the slab). Assigned once by the pool and
+  // preserved by Reset; the access monitor observes the transfers started
+  // within one sampling interval in this order.
+  std::uint32_t pool_slot = 0;
+
   // True while the descriptor is checked out of its TransferPool
-  // (maintained by the pool, not Reset). The access monitor's occupancy
-  // probes walk the pool's slabs and must skip free slots.
+  // (maintained by the pool, not Reset); guards against double release.
   bool pool_active = false;
 
   // True once an occupancy probe has attributed this transfer to its
   // region. Observation is edge-triggered — a transfer counts once, at
-  // the first sampling tick that finds it in flight — because in-flight
-  // residency is dominated by bus queueing, and re-counting a queued
-  // transfer at every probe would weight pages by congestion rather than
-  // access frequency.
+  // the first probe after its start, if it is still in flight — because
+  // in-flight residency is dominated by bus queueing, and re-counting a
+  // queued transfer at every probe would weight pages by congestion
+  // rather than access frequency. The controller queues a started
+  // transfer for the next probe and drops it from that queue if it
+  // completes first, so a probe touches only transfers not yet seen.
   bool monitor_seen = false;
 
   std::int64_t RemainingToIssue() const { return total_bytes - issued_bytes; }
@@ -80,7 +87,7 @@ struct DmaTransfer {
   bool FirstChunk() const { return issued_bytes == 0; }
 
   // Re-initializes a recycled descriptor (everything except
-  // `run_generation`; see above).
+  // `run_generation`, `pool_slot` and `pool_active`; see above).
   void Reset() {
     id = 0;
     bus_id = 0;

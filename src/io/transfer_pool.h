@@ -6,7 +6,9 @@
 // round-trip and a hash probe on the per-transfer hot path. The pool
 // hands out pointers from fixed 256-descriptor slabs through a free
 // list: acquire and release are a pointer pop/push, and descriptors are
-// stable in memory so callbacks can capture them directly.
+// stable in memory so callbacks can capture them directly. Each
+// descriptor carries a stable slot index (slab, then position in the
+// slab), which orders the access monitor's per-probe observations.
 #ifndef DMASIM_IO_TRANSFER_POOL_H_
 #define DMASIM_IO_TRANSFER_POOL_H_
 
@@ -49,21 +51,6 @@ class TransferPool {
 
   std::uint64_t ActiveCount() const { return active_; }
 
-  // Visits every checked-out descriptor in slab order (deterministic:
-  // slabs and slots are visited by allocation order, independent of the
-  // free-list state). This is the access monitor's occupancy probe; the
-  // paper's workloads keep at most a few dozen descriptors in flight, so
-  // the walk touches one slab and is cheap enough for a per-microsecond
-  // sampling event. Non-const so the probe can mark descriptors seen.
-  template <typename Fn>
-  void ForEachActive(Fn&& fn) {
-    for (const std::unique_ptr<DmaTransfer[]>& block : blocks_) {
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        if (block[i].pool_active) fn(block[i]);
-      }
-    }
-  }
-
  private:
   static constexpr std::size_t kBlockSize = 256;
 
@@ -72,6 +59,11 @@ class TransferPool {
     // descriptors from free_.  dmasim-lint: allow(heap-alloc)
     blocks_.push_back(std::make_unique<DmaTransfer[]>(kBlockSize));
     DmaTransfer* block = blocks_.back().get();
+    const std::size_t first_slot = (blocks_.size() - 1) * kBlockSize;
+    DMASIM_CHECK_LE(first_slot + kBlockSize, std::size_t{UINT32_MAX});
+    for (std::size_t i = 0; i < kBlockSize; ++i) {
+      block[i].pool_slot = static_cast<std::uint32_t>(first_slot + i);
+    }
     free_.reserve(free_.size() + kBlockSize);
     for (std::size_t i = kBlockSize; i > 0; --i) {
       free_.push_back(&block[i - 1]);

@@ -166,11 +166,24 @@ void MemoryChip::ServeRequest(ChipRequest request) {
   // Inline retirement of callback-free requests (migration copies). A
   // request with no completion callback whose service ends strictly
   // before the next pending event has a ServeDone that can only bump
-  // stats and start the next queued service at the same tick: nothing
-  // else can run, observe, or enqueue in between. Retiring the whole
-  // chain here folds N back-to-back queued services into one scheduled
-  // event while producing identical energy accounting, stats, and
-  // (time, seq) ordering for every surviving event.
+  // stats and start the next queued service at the same tick, so the
+  // chain is retired here as one scheduled event.
+  //
+  // Known defect — this is NOT exact. When ServeDone starts the next
+  // service, it runs the completed request's callback only after this
+  // chain has been retired, and the horizon was read before that
+  // callback could enqueue or schedule a DMA chunk that reaches this chip
+  // while the chain is still running. The chunk outranks the queued
+  // migrations: unretired, it would be served after the copy in service;
+  // retired inline, it waits for the whole chain. How long the chain is
+  // depends on the next pending event, so results depend on which
+  // unrelated events happen to be pending. On OLTP-St DMA-TA-PL(2),
+  // 2000 ms, seed 0, mean client response / migrations are
+  // 34.10 ms / 3166 as built, 34.88 ms / 3124 with a no-op 1 us event
+  // added, and 35.03 ms / 3152 with inline retirement disabled (with or
+  // without the no-op event). Baseline and DMA-TA runs queue no
+  // migrations and are unaffected. Fixing it changes pinned outcomes, so
+  // it is tracked as its own change (ROADMAP.md).
   Tick issue = simulator_->Now();
   if (!request.on_complete && HasQueuedRequest()) {
     const Tick horizon = simulator_->NextPendingTick();

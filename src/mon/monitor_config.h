@@ -68,12 +68,12 @@ struct MonitorConfig {
   bool enabled = false;
 
   // Cadence of occupancy probes: at every sampling tick the monitor
-  // walks the in-flight DMA transfer descriptors and attributes one hit
-  // to the region containing each transfer not seen by an earlier probe
-  // (edge-triggered presence sampling). A transfer counts once no matter
-  // how long it stays queued, so counters estimate access frequency, not
-  // bus congestion; transfers shorter than the sampling interval can be
-  // missed — that is the sampling error traded for overhead.
+  // attributes one hit to the region containing each in-flight DMA
+  // transfer not seen by an earlier probe (edge-triggered presence
+  // sampling). A transfer counts once no matter how long it stays
+  // queued, so counters estimate access frequency, not bus congestion;
+  // transfers shorter than the sampling interval can be missed — that is
+  // the sampling error traded for overhead.
   Tick sampling_interval = 1 * kMicrosecond;
 
   // Cadence of aggregation: region aging, cold-region merging, and
@@ -113,11 +113,10 @@ struct MonitorConfig {
 
   // Simulated monitoring cost, charged to the monitor's busy-tick
   // account (it does not perturb the simulated hardware): fixed cost per
-  // probe (covering the descriptor walk — the in-flight population is a
-  // few dozen at most), per newly attributed transfer (binary search +
-  // split), and per region touched by an aggregation or materialization
-  // pass. The defaults keep the overhead fraction below 1% at the
-  // default cadences.
+  // probe (waking up and checking for newly started transfers), per newly
+  // attributed transfer (binary search + split), and per region touched
+  // by an aggregation or materialization pass. The defaults keep the
+  // overhead fraction below 1% at the default cadences.
   Tick probe_cost = 6 * kNanosecond;
   Tick observe_cost = 4 * kNanosecond;
   Tick region_cost = 1 * kNanosecond;

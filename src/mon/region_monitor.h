@@ -3,15 +3,16 @@
 // Why not accessed-bit sampling: dmasim's workloads drive tens of DMA
 // transfers per millisecond across ~10^5 pages, so any per-page presence
 // check observes almost nothing. Instead the monitor runs *occupancy
-// probes*: at every sampling tick it walks the in-flight DMA transfer
-// descriptors (a few dozen at the paper's intensities, since queueing
-// keeps transfers checked out far longer than their service time) and
-// attributes one hit to the region containing each transfer's page.
-// Observation is edge-triggered — a transfer counts once, at the first
-// probe that finds it in flight — so counters estimate access frequency
-// rather than queue residency; transfers shorter than the sampling
-// interval can be missed, which is the sampling error traded for
-// overhead.
+// probes*: at every sampling tick it attributes one hit to the region
+// containing the page of each DMA transfer that started since the
+// previous probe and is still in flight. Observation is edge-triggered —
+// a transfer counts once, at the first probe that finds it in flight —
+// so counters estimate access frequency rather than queue residency;
+// transfers shorter than the sampling interval can be missed, which is
+// the sampling error traded for overhead. The controller keeps the
+// not-yet-seen transfers in a list of its own, so a probe costs
+// O(transfers started since the last probe), not O(pool slots), and
+// hands them over in transfer-pool slot order.
 //
 // Why sample-guided splits: the workload generator scatters popular
 // pages over the page space by a multiplicative hash permutation

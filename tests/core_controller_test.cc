@@ -1,6 +1,9 @@
 // Integration tests for the memory controller (routing, gating, release,
-// CPU priority, migration, and metrics).
+// CPU priority, migration, metrics, and the access monitor's occupancy
+// probe).
 #include "core/memory_controller.h"
+
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -286,6 +289,98 @@ TEST_F(ControllerFixture, ChunkServiceTimeTracked) {
   // Each chunk: issued, then served within one memory service time.
   EXPECT_NEAR(controller_->ChunkServiceTime().Mean(),
               static_cast<double>(config_.power.ServiceTime(ByteCount(512)).value()), 1.0);
+}
+
+// --- Occupancy probe ---------------------------------------------------------
+
+// A monitor with a 10 us probe cadence over one region and room for a
+// single split: the only single-page region after a probe is the page of
+// the first transfer that probe observed, which exposes the order.
+MemorySystemConfig ProbeConfig() {
+  MemorySystemConfig config = SmallConfig();
+  config.monitor.enabled = true;
+  config.monitor.sampling_interval = 10 * kMicrosecond;
+  config.monitor.min_regions = 1;
+  config.monitor.max_regions = 3;
+  return config;
+}
+
+// One 512-byte chunk: done within the first microsecond.
+constexpr std::int64_t kShortBytes = 512;
+// 128 chunks at one bus slot each: in flight for ~61 us.
+constexpr std::int64_t kLongBytes = 65536;
+
+bool IsolatedPage(const RegionMonitor& monitor, std::uint64_t page) {
+  for (const MonitorRegion& region : monitor.regions()) {
+    if (region.start == page && region.end == page + 1) return true;
+  }
+  return false;
+}
+
+TEST_F(ControllerFixture, ProbeNeverObservesTransferReleasedBeforeIt) {
+  Build(ProbeConfig(), PolicyStyle::kAlwaysActive);
+  bool done = false;
+  controller_->StartDmaTransfer(0, /*page=*/5, kShortBytes, DmaKind::kNetwork,
+                                [&](Tick) { done = true; });
+  simulator_.RunUntil(10 * kMicrosecond);
+  ASSERT_TRUE(done);
+  const MonitorStats& stats = controller_->monitor()->stats();
+  EXPECT_EQ(stats.probes, 1u);
+  EXPECT_EQ(stats.observations, 0u);
+  EXPECT_EQ(stats.splits, 0u);
+  EXPECT_EQ(controller_->monitor()->regions().size(), 1u);
+}
+
+TEST_F(ControllerFixture, ProbeObservesInPoolSlotOrderNotStartOrder) {
+  Build(ProbeConfig(), PolicyStyle::kAlwaysActive);
+  // A takes slot 0 and B slot 1; A completes, so C, started later than
+  // B, recycles slot 0. The probe must observe C before B.
+  controller_->StartDmaTransfer(0, /*page=*/7, kShortBytes, DmaKind::kNetwork,
+                                {});
+  controller_->StartDmaTransfer(1, /*page=*/20, kLongBytes, DmaKind::kNetwork,
+                                {});
+  simulator_.RunUntil(5 * kMicrosecond);
+  ASSERT_EQ(controller_->InFlightTransfers(), 1u);
+  controller_->StartDmaTransfer(2, /*page=*/40, kLongBytes, DmaKind::kNetwork,
+                                {});
+  simulator_.RunUntil(10 * kMicrosecond);
+
+  const MonitorStats& stats = controller_->monitor()->stats();
+  EXPECT_EQ(stats.observations, 2u);
+  EXPECT_EQ(stats.splits, 1u);  // The budget allows only the first.
+  EXPECT_TRUE(IsolatedPage(*controller_->monitor(), 40));
+  EXPECT_FALSE(IsolatedPage(*controller_->monitor(), 20));
+}
+
+TEST_F(ControllerFixture, TransferStartedAfterProbeAtSameTickWaitsForNext) {
+  Build(ProbeConfig(), PolicyStyle::kAlwaysActive);
+  // Scheduled after the controller's probe for the same tick, so it runs
+  // after that probe.
+  simulator_.ScheduleAt(10 * kMicrosecond, [this]() {
+    controller_->StartDmaTransfer(0, /*page=*/9, kLongBytes,
+                                  DmaKind::kNetwork, {});
+  });
+  simulator_.RunUntil(10 * kMicrosecond);
+  const MonitorStats& stats = controller_->monitor()->stats();
+  EXPECT_EQ(stats.probes, 1u);
+  EXPECT_EQ(stats.observations, 0u);
+  simulator_.RunUntil(20 * kMicrosecond);
+  EXPECT_EQ(stats.probes, 2u);
+  EXPECT_EQ(stats.observations, 1u);
+  EXPECT_TRUE(IsolatedPage(*controller_->monitor(), 9));
+}
+
+TEST_F(ControllerFixture, ProbesCountTicksNotObservations) {
+  Build(ProbeConfig(), PolicyStyle::kAlwaysActive);
+  for (int bus = 0; bus < 3; ++bus) {
+    controller_->StartDmaTransfer(bus, /*page=*/static_cast<std::uint64_t>(bus),
+                                  kLongBytes, DmaKind::kNetwork, {});
+  }
+  simulator_.RunUntil(50 * kMicrosecond);
+  const MonitorStats& stats = controller_->monitor()->stats();
+  EXPECT_EQ(stats.probes, 5u);
+  // Each transfer counts once, although every probe finds it in flight.
+  EXPECT_EQ(stats.observations, 3u);
 }
 
 }  // namespace

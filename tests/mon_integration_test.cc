@@ -2,8 +2,11 @@
 // paper's OLTP storage workload, DMA-TA-PL fed by the monitored
 // popularity estimate must recover at least 90% of the energy saving the
 // oracle tracker achieves, at no more than 1% simulated monitoring
-// overhead -- and a monitored run must be exactly reproducible.
+// overhead -- and a monitored run must be exactly reproducible, down to
+// pinned golden outputs.
+#include <bit>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -155,6 +158,87 @@ TEST(MonitorDeterminismTest, MonitoredRunIsReproducible) {
   EXPECT_EQ(a.monitor.overhead_fraction, b.monitor.overhead_fraction);
   EXPECT_EQ(a.monitor.hotness_error, b.monitor.hotness_error);
 }
+
+// Golden pins: short DMA-TA-PL(2) runs fed by the monitor with the
+// committed hot/cold schemes. Monitor outputs depend on the order in
+// which each probe observes transfers (a split reshapes the regions
+// later observations land in), on probe cadence and on edge triggering.
+// At the default 1 us cadence a probe rarely finds two new transfers, so
+// the second pin samples every 10 us, where the order does matter.
+// Recorded with the full pool-slab probe the monitor originally used.
+struct GoldenPin {
+  Tick sampling_interval;
+  std::uint64_t probes;
+  std::uint64_t observations;
+  std::uint64_t splits;
+  std::uint64_t merges;
+  int regions;
+  std::uint64_t scheme_matches;
+  // Bit patterns, so the pin is exact.
+  std::uint64_t overhead_fraction_bits;
+  std::uint64_t hotness_error_bits;
+  std::uint64_t energy_joules_bits;
+};
+
+void PrintTo(const GoldenPin& pin, std::ostream* os) {
+  *os << "sampling every " << pin.sampling_interval / kMicrosecond << " us";
+}
+
+class MonitorGoldenTest : public ::testing::TestWithParam<GoldenPin> {};
+
+TEST_P(MonitorGoldenTest, HotColdSchemeRunMatchesPin) {
+  const GoldenPin& pin = GetParam();
+  WorkloadSpec spec = OltpStorageSpec();
+  spec.duration = 200 * kMillisecond;
+  const Trace trace = GenerateWorkload(spec);
+
+  SimulationOptions options;
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = 2.0;
+  options.memory.dma.pl.enabled = true;
+  options.memory.dma.pl.groups = 2;
+  options.memory.monitor.enabled = true;
+  options.memory.monitor.sampling_interval = pin.sampling_interval;
+  const SchemeParseResult schemes = ParseSchemeFile(
+      std::string(DMASIM_SOURCE_DIR) + "/examples/schemes/hot_cold.scheme");
+  ASSERT_TRUE(schemes.ok()) << schemes.error;
+  options.memory.monitor.rules = schemes.rules;
+
+  const SimulationResults r = RunTrace(trace, spec.miss_ratio, spec.duration,
+                                       options, spec.name);
+  EXPECT_EQ(r.scheme, "DMA-TA-PL(2)+mon/dynamic");
+  EXPECT_EQ(r.monitor.probes, pin.probes);
+  EXPECT_EQ(r.monitor.observations, pin.observations);
+  EXPECT_EQ(r.monitor.splits, pin.splits);
+  EXPECT_EQ(r.monitor.merges, pin.merges);
+  EXPECT_EQ(r.monitor.regions, pin.regions);
+  EXPECT_EQ(r.monitor.scheme_matches, pin.scheme_matches);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.monitor.overhead_fraction),
+            pin.overhead_fraction_bits)
+      << r.monitor.overhead_fraction;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.monitor.hotness_error),
+            pin.hotness_error_bits)
+      << r.monitor.hotness_error;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.energy.Total().joules()),
+            pin.energy_joules_bits)
+      << r.energy.Total().joules();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cadences, MonitorGoldenTest,
+    ::testing::Values(
+        // 0.0066527571428571432, 0.48387080467676058, 0.049784107465699848 J.
+        GoldenPin{kMicrosecond, 210000, 10617, 2719, 4441, 1023, 3174,
+                  0x3f7b3febe5b575d6u, 0x3fdef7bd4064db64u,
+                  0x3fa97d4d72d9f952u},
+        // 0.0012166619047619047, 0.50801434315721439, 0.049944762538797614 J.
+        GoldenPin{10 * kMicrosecond, 21000, 10032, 3041, 5142, 960, 2889,
+                  0x3f53ef0cc5d6e65eu, 0x3fe041a74bb84b04u,
+                  0x3fa9925c236bd69bu}),
+    [](const ::testing::TestParamInfo<GoldenPin>& info) {
+      return std::to_string(info.param.sampling_interval / kMicrosecond) +
+             "us";
+    });
 
 }  // namespace
 }  // namespace dmasim
