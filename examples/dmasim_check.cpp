@@ -16,9 +16,10 @@
 // Exit codes: 0 = explored clean (or --replay reproduced the recorded
 // violation), 1 = explore found a violation (or --replay failed to
 // reproduce), 2 = usage / input error.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "check/explorer.h"
 #include "check/minimizer.h"
 #include "check/shard_harness.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -72,18 +74,6 @@ void PrintUsage(std::FILE* out) {
       "  --shard --replay FILE re-execute a shard counterexample file\n");
 }
 
-
-bool ParseInt(const char* text, long long* out) {
-  char* end = nullptr;
-  *out = std::strtoll(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
-bool ParseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text, &end);
-  return end != text && *end == '\0';
-}
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "dmasim_check: %s\n", message.c_str());
@@ -187,7 +177,7 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
-    long long n = 0;
+    std::int64_t n = 0;
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       return 0;
@@ -240,12 +230,14 @@ int main(int argc, char** argv) {
       config.chip_model = *kind;
     } else if (arg == "--mu") {
       const char* text = value();
-      if (text == nullptr || !ParseDouble(text, &config.mu)) {
+      if (text == nullptr || !dmasim::ParseFiniteDouble(text, &config.mu)) {
         return Fail("--mu needs a number");
       }
     } else {
       const char* text = value();
-      if (text == nullptr || !ParseInt(text, &n)) {
+      if (text == nullptr ||
+          !dmasim::ParseInt64(text, std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max(), &n)) {
         return Fail("unknown or incomplete option \"" + arg +
                     "\" (see --help)");
       }

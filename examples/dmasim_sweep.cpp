@@ -19,13 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "audit/audit_config.h"
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
 #include "exp/thread_pool.h"
 #include "mon/scheme_parser.h"
-#include "obs/obs_config.h"
 #include "trace/workloads.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -76,6 +75,12 @@ std::vector<std::string> SplitCommas(const std::string& csv) {
   std::exit(2);
 }
 
+// Flag bounds: generous for real use, small enough that every derived
+// quantity (tick conversions, per-run allocations) stays representable.
+constexpr int kMaxCount = 4096;  // Chips, buses, popularity groups.
+constexpr int kMaxThreads = 1024;
+constexpr double kMaxDurationMs = 1.0e9;
+
 void PrintUsage() {
   std::cout <<
       R"(Usage: dmasim_sweep [options]
@@ -101,14 +106,13 @@ Axes (comma-separated lists; the cross product is the run grid):
 
 Execution:
   --duration-ms N    simulated milliseconds per run (default: preset)
-  --threads N        worker threads (default: all hardware threads)
+  --threads N        worker threads (default: 0 = all hardware threads)
   --sim-threads N    worker threads inside each simulation's sharded
                      event kernel (default: 1 = serial; any value is
                      bit-identical — see DESIGN.md section 14)
   --name NAME        sweep name recorded in the artifact (default: sweep)
-  --audit            run every simulation under the invariant auditor
-                     (abort on violation; needs a library built with
-                     -DDMASIM_AUDIT_LEVEL>=1, see DESIGN.md)
+  --audit            run every simulation under the level-2 invariant
+                     auditor (abort on violation; see DESIGN.md)
   --monitor          estimate page popularity online with the region
                      monitor (src/mon) instead of the oracle per-page
                      tracker; scheme labels gain a "+mon" suffix and the
@@ -121,10 +125,9 @@ Output:
   --out PATH         write the full JSON artifact to PATH
   --metrics-out PATH write per-run observability metrics (counters,
                      gauges, histograms) to PATH; enables obs level 1
-                     (needs a library built with -DDMASIM_OBS>=1)
   --trace-out PREFIX write one Chrome/Perfetto trace per run to
-                     PREFIX-run<id>.json; enables obs level 2 (needs
-                     -DDMASIM_OBS>=2; open in https://ui.perfetto.dev)
+                     PREFIX-run<id>.json; enables obs level 2 (open in
+                     https://ui.perfetto.dev)
   --ndjson           stream one compact JSON line per finished run
   --no-table         suppress the human summary table
   --list             print known workloads/schemes/policies and exit
@@ -162,18 +165,39 @@ SchemeSpec SchemeByFlag(const std::string& flag) {
   if (flag == "baseline") return BaselineScheme();
   if (flag == "ta") return TaScheme();
   if (flag.rfind("ta-pl", 0) == 0) {
-    const int groups = std::atoi(flag.c_str() + 5);
-    if (groups < 1) Fail("bad popularity group count in '" + flag + "'");
-    return TaPlScheme(groups);
+    std::int64_t groups = 0;
+    if (!ParseInt64(flag.substr(5), 1, kMaxCount, &groups)) {
+      Fail("bad popularity group count in '" + flag + "'");
+    }
+    return TaPlScheme(static_cast<int>(groups));
   }
   Fail("unknown scheme '" + flag + "'");
 }
 
-double ParseDouble(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    Fail("bad number '" + text + "'");
+// Flag values are parsed strictly; anything else is a usage error that
+// names the flag, raised before any run starts.
+int IntFlag(const std::string& flag, const std::string& text, int min,
+            int max) {
+  std::int64_t value = 0;
+  if (!ParseInt64(text, min, max, &value)) {
+    Fail(flag + " needs an integer in [" + std::to_string(min) + ", " +
+         std::to_string(max) + "], got '" + text + "'");
+  }
+  return static_cast<int>(value);
+}
+
+std::uint64_t Uint64Flag(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  if (!ParseUint64(text, &value)) {
+    Fail(flag + " needs an unsigned 64-bit integer, got '" + text + "'");
+  }
+  return value;
+}
+
+double DoubleFlag(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  if (!ParseFiniteDouble(text, &value) || value < 0.0) {
+    Fail(flag + " needs a finite number >= 0, got '" + text + "'");
   }
   return value;
 }
@@ -214,7 +238,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--cp-limits") {
       spec.cp_limits.clear();
       for (const std::string& text : SplitCommas(next())) {
-        spec.cp_limits.push_back(ParseDouble(text));
+        spec.cp_limits.push_back(DoubleFlag(arg, text));
       }
     } else if (arg == "--policies") {
       spec.policies.clear();
@@ -223,16 +247,15 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--chips") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.chip_counts.push_back(static_cast<int>(ParseDouble(text)));
+        spec.chip_counts.push_back(IntFlag(arg, text, 1, kMaxCount));
       }
     } else if (arg == "--buses") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.bus_counts.push_back(static_cast<int>(ParseDouble(text)));
+        spec.bus_counts.push_back(IntFlag(arg, text, 1, kMaxCount));
       }
     } else if (arg == "--seeds") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.seeds.push_back(
-            static_cast<std::uint64_t>(ParseDouble(text)));
+        spec.seeds.push_back(Uint64Flag(arg, text));
       }
     } else if (arg == "--chip-model") {
       const std::string name = next();
@@ -242,12 +265,14 @@ int main(int argc, char** argv) {
       }
       spec.base.memory.chip_model = *kind;
     } else if (arg == "--duration-ms") {
-      duration_ms = ParseDouble(next());
+      duration_ms = DoubleFlag(arg, next());
+      if (duration_ms <= 0.0 || duration_ms > kMaxDurationMs) {
+        Fail("--duration-ms must be in (0, 1e9]");
+      }
     } else if (arg == "--threads") {
-      sweep_options.threads = static_cast<int>(ParseDouble(next()));
+      sweep_options.threads = IntFlag(arg, next(), 0, kMaxThreads);
     } else if (arg == "--sim-threads") {
-      spec.base.sim_threads = static_cast<int>(ParseDouble(next()));
-      if (spec.base.sim_threads < 1) Fail("--sim-threads must be >= 1");
+      spec.base.sim_threads = IntFlag(arg, next(), 1, kMaxThreads);
     } else if (arg == "--name") {
       spec.name = next();
     } else if (arg == "--out") {
@@ -278,16 +303,6 @@ int main(int argc, char** argv) {
   }
 
   if (workload_flags.empty()) Fail("no workloads selected");
-  if (spec.base.audit_level > 0 && kCompiledAuditLevel == 0) {
-    std::cerr << "dmasim_sweep: warning: --audit has no effect, this build "
-                 "has DMASIM_AUDIT_LEVEL=0\n";
-  }
-  if (spec.base.obs_level > kCompiledObsLevel) {
-    std::cerr << "dmasim_sweep: warning: --metrics-out/--trace-out need a "
-                 "library built with -DDMASIM_OBS>="
-              << spec.base.obs_level << ", this build has DMASIM_OBS="
-              << kCompiledObsLevel << "\n";
-  }
   if (!out_path.empty()) {
     // Fail before the sweep runs, not after minutes of simulation.
     std::ofstream probe(out_path, std::ios::app);
@@ -317,6 +332,16 @@ int main(int argc, char** argv) {
   }
   if (!metrics_path.empty()) {
     std::cout << "metrics: " << metrics_path << '\n';
+  }
+  if (spec.base.audit_level > 0) {
+    std::uint64_t checks = 0;
+    std::uint64_t failures = 0;
+    for (const RunRecord& record : sweep.records) {
+      checks += record.results.audit_checks;
+      failures += record.results.audit_failures;
+    }
+    std::cout << "audit: " << checks << " checks, " << failures
+              << " failures\n";
   }
   return sweep.summary.failed == 0 ? 0 : 1;
 }

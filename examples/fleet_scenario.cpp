@@ -23,6 +23,7 @@
 
 #include "server/fleet_driver.h"
 #include "trace/workloads.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -33,6 +34,13 @@ using namespace dmasim;
             << "Run with --help for usage.\n";
   std::exit(2);
 }
+
+// Flag bounds: generous for real use, small enough that every derived
+// quantity (fleet chip totals, tick conversions) stays representable.
+constexpr std::int64_t kMaxCount = 4096;  // Domains; chips per domain.
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr double kMaxDurationMs = 1.0e9;
+constexpr double kMaxLatencyUs = 1.0e9;
 
 void PrintUsage() {
   std::cout <<
@@ -54,9 +62,8 @@ void PrintUsage() {
   --fingerprint-only   print only the run fingerprint (for scripting)
 
 Determinism proof kit (DESIGN.md section 15):
-  --sched-fuzz-seed N  perturb worker scheduling from seed N; requires a
-                       -DDMASIM_SCHED_FUZZ=1 build (the run must stay
-                       bit-identical to seed 0)
+  --sched-fuzz-seed N  perturb worker scheduling from seed N (nonzero);
+                       the run must stay bit-identical to seed 0
   --engine-fault NAME  seeded protocol violation: none, skip-barrier-sort,
                        deliver-early (CI divergence checks only)
   --window-digests FILE
@@ -79,11 +86,55 @@ WorkloadSpec WorkloadByFlag(const std::string& flag) {
   Fail("unknown workload '" + flag + "'");
 }
 
-double ParseDouble(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') Fail("bad number '" + text + "'");
+// Flag values are parsed strictly; anything else is a usage error that
+// names the flag, raised before the fleet is built.
+std::int64_t IntFlag(const std::string& flag, const std::string& text,
+                     std::int64_t min, std::int64_t max) {
+  std::int64_t value = 0;
+  if (!ParseInt64(text, min, max, &value)) {
+    Fail(flag + " needs an integer in [" + std::to_string(min) + ", " +
+         std::to_string(max) + "], got '" + text + "'");
+  }
   return value;
+}
+
+std::uint64_t Uint64Flag(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  if (!ParseUint64(text, &value)) {
+    Fail(flag + " needs an unsigned 64-bit integer, got '" + text + "'");
+  }
+  return value;
+}
+
+double DoubleFlag(const std::string& flag, const std::string& text,
+                  double min, double max) {
+  double value = 0.0;
+  if (!ParseFiniteDouble(text, &value) || value < min || value > max) {
+    std::ostringstream range;
+    range << '[' << min << ", " << max << ']';
+    Fail(flag + " needs a finite number in " + range.str() + ", got '" +
+         text + "'");
+  }
+  return value;
+}
+
+// Reads a window-digest file (one hex value per line, blank lines
+// ignored). A malformed line is a usage error located as path:line.
+std::vector<std::uint64_t> ReadWindowDigests(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) Fail("cannot read '" + path + "'");
+  std::vector<std::uint64_t> digests;
+  std::string line;
+  for (int number = 1; std::getline(in, line); ++number) {
+    if (line.empty()) continue;
+    std::uint64_t digest = 0;
+    if (!ParseUint64(line, &digest, 16)) {
+      Fail(path + ":" + std::to_string(number) +
+           ": bad window digest '" + line + "' (want one hex value)");
+    }
+    digests.push_back(digest);
+  }
+  return digests;
 }
 
 void WriteWindowDigests(const std::vector<std::uint64_t>& digests,
@@ -96,18 +147,9 @@ void WriteWindowDigests(const std::vector<std::uint64_t>& digests,
 }
 
 // Returns the process exit code: 0 on a match, 3 on divergence (with the
-// first mismatching window on stdout, which is what the CI sched-fuzz
-// smoke greps for).
+// first mismatching window on stdout).
 int CompareWindowDigests(const std::vector<std::uint64_t>& digests,
-                         const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) Fail("cannot read '" + path + "'");
-  std::vector<std::uint64_t> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    baseline.push_back(std::stoull(line, nullptr, 16));
-  }
+                         const std::vector<std::uint64_t>& baseline) {
   const std::size_t windows = std::min(digests.size(), baseline.size());
   for (std::size_t window = 0; window < windows; ++window) {
     if (digests[window] != baseline[window]) {
@@ -137,7 +179,8 @@ int main(int argc, char** argv) {
   options.streams_per_domain = 32768;
   std::string workload_flag = "oltp-st";
   double duration_ms = 20.0;
-  double seed = -1.0;
+  bool seed_set = false;
+  std::uint64_t seed = 0;
   bool fingerprint_only = false;
   std::string digests_out_path;
   std::string digests_baseline_path;
@@ -152,32 +195,34 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 0;
     } else if (arg == "--domains") {
-      options.domains = static_cast<int>(ParseDouble(next()));
-      if (options.domains < 1) Fail("--domains must be >= 1");
+      options.domains = static_cast<int>(IntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--sim-threads") {
-      options.sim_threads = static_cast<int>(ParseDouble(next()));
-      if (options.sim_threads < 1) Fail("--sim-threads must be >= 1");
+      options.sim_threads =
+          static_cast<int>(IntFlag(arg, next(), 1, kMaxThreads));
     } else if (arg == "--duration-ms") {
-      duration_ms = ParseDouble(next());
+      duration_ms = DoubleFlag(arg, next(), 0.0, kMaxDurationMs);
       if (duration_ms <= 0.0) Fail("--duration-ms must be > 0");
     } else if (arg == "--workload") {
       workload_flag = next();
     } else if (arg == "--chips") {
-      options.base.memory.chips = static_cast<int>(ParseDouble(next()));
+      options.base.memory.chips =
+          static_cast<int>(IntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--streams") {
-      options.streams_per_domain =
-          static_cast<std::uint64_t>(ParseDouble(next()));
+      options.streams_per_domain = Uint64Flag(arg, next());
+      if (options.streams_per_domain == 0) Fail("--streams must be >= 1");
     } else if (arg == "--remote-fraction") {
-      options.remote_fraction = ParseDouble(next());
+      options.remote_fraction = DoubleFlag(arg, next(), 0.0, 1.0);
     } else if (arg == "--remote-latency-us") {
-      options.remote_latency =
-          static_cast<Tick>(ParseDouble(next()) * kMicrosecond);
+      const double latency_us = DoubleFlag(arg, next(), 0.0, kMaxLatencyUs);
+      if (latency_us <= 0.0) Fail("--remote-latency-us must be > 0");
+      options.remote_latency = static_cast<Tick>(latency_us * kMicrosecond);
     } else if (arg == "--seed") {
-      seed = ParseDouble(next());
+      seed = Uint64Flag(arg, next());
+      seed_set = true;
     } else if (arg == "--fingerprint-only") {
       fingerprint_only = true;
     } else if (arg == "--sched-fuzz-seed") {
-      options.sched_fuzz_seed = static_cast<std::uint64_t>(ParseDouble(next()));
+      options.sched_fuzz_seed = Uint64Flag(arg, next());
     } else if (arg == "--engine-fault") {
       const std::string name = next();
       if (!ParseEngineFault(name, &options.engine_fault)) {
@@ -196,7 +241,12 @@ int main(int argc, char** argv) {
 
   options.workload = WorkloadByFlag(workload_flag);
   options.workload.duration = static_cast<Tick>(duration_ms * kMillisecond);
-  if (seed >= 0.0) options.workload.seed = static_cast<std::uint64_t>(seed);
+  if (seed_set) options.workload.seed = seed;
+  // Validate the comparison baseline before spending the run on it.
+  std::vector<std::uint64_t> digests_baseline;
+  if (!digests_baseline_path.empty()) {
+    digests_baseline = ReadWindowDigests(digests_baseline_path);
+  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   const FleetResults fleet = RunFleet(options);
@@ -210,7 +260,7 @@ int main(int argc, char** argv) {
   }
   if (!digests_baseline_path.empty()) {
     const int compare_exit =
-        CompareWindowDigests(fleet.window_digests, digests_baseline_path);
+        CompareWindowDigests(fleet.window_digests, digests_baseline);
     if (compare_exit != 0) return compare_exit;
   }
 

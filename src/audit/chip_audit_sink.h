@@ -2,9 +2,9 @@
 // to the invariant auditor. Kept to this tiny header so src/mem depends
 // only on the interface, never on the auditor implementation.
 //
-// The hooks exist (and the chip carries a sink pointer) only when the
-// library is built with DMASIM_AUDIT_LEVEL >= 1; at level 0 the chip has
-// no audit members at all.
+// Every chip carries a sink pointer; it stays null (one untaken branch per
+// energy segment and transition) unless a SimulationAudit attaches itself
+// for a run with audit_level >= 1.
 #ifndef DMASIM_AUDIT_CHIP_AUDIT_SINK_H_
 #define DMASIM_AUDIT_CHIP_AUDIT_SINK_H_
 

@@ -8,10 +8,9 @@
 // checks (level 2) do not go through the registry -- they are validated
 // inline by the observing hook and reported here via ReportFailure.
 //
-// The registry itself carries no conditional compilation: it is ordinary
-// code, unit-testable at any audit level. What the build level controls
-// is whether anything *instantiates* it (SimulationAudit and the chip
-// hooks are compiled out below level 1).
+// The registry is ordinary code, unit-testable on its own. A run's
+// audit_level decides whether anything instantiates it (a
+// SimulationAudit is built only at level >= 1).
 #ifndef DMASIM_AUDIT_INVARIANT_AUDITOR_H_
 #define DMASIM_AUDIT_INVARIANT_AUDITOR_H_
 

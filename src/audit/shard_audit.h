@@ -26,10 +26,9 @@
 //                               the order half on any non-identity
 //                               drain permutation.
 //
-// Like InvariantAuditor itself, this is ordinary code with no
-// conditional compilation — tests use it at any audit level; the fleet
-// driver instantiates it under `DMASIM_AUDIT_LEVEL >= 1` builds when
-// `--audit` is on.
+// Like InvariantAuditor itself, this is ordinary code that tests use
+// directly; the fleet driver instantiates it when the run's audit_level
+// is >= 1 (`fleet_scenario --audit`).
 #ifndef DMASIM_AUDIT_SHARD_AUDIT_H_
 #define DMASIM_AUDIT_SHARD_AUDIT_H_
 

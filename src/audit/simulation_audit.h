@@ -2,18 +2,14 @@
 // every chip's ChipAuditSink, registers the standard dmasim invariants
 // (catalogued in DESIGN.md), and at level 2 schedules periodic registry
 // sweeps and validates each power-state transition the moment it
-// completes.
+// completes. At level 2 it also arms the event kernel's per-pop FIFO
+// check for as long as it is attached.
 //
-// The whole class exists only when the library is built with
-// DMASIM_AUDIT_LEVEL >= 1; SimulationDriver's use of it is compiled out
-// at level 0, which is what makes level-0 builds byte-identical to the
-// pre-audit library.
+// The class is always compiled in; the drivers construct one only when
+// SimulationOptions::audit_level >= 1, so an unaudited run carries no
+// sink and no extra events.
 #ifndef DMASIM_AUDIT_SIMULATION_AUDIT_H_
 #define DMASIM_AUDIT_SIMULATION_AUDIT_H_
-
-#include "audit/audit_config.h"
-
-#if DMASIM_AUDIT_LEVEL >= 1
 
 #include <array>
 #include <cstdint>
@@ -33,9 +29,8 @@ namespace dmasim {
 class SimulationAudit : public ChipAuditSink {
  public:
   struct Options {
-    // Effective audit level (already clamped to the compile-time level by
-    // the caller): 1 = end-of-run registry pass only, 2 = also periodic
-    // passes and transition-time validation/abort.
+    // 1 = end-of-run registry pass only, 2 = also periodic passes,
+    // transition-time validation/abort and the kernel's pop-order check.
     int level = 1;
     Tick period = kMillisecond;  // Cadence of level-2 periodic passes.
     InvariantAuditor::Mode mode = InvariantAuditor::Mode::kAbort;
@@ -45,8 +40,9 @@ class SimulationAudit : public ChipAuditSink {
   };
 
   // Both `simulator` and `controller` must outlive the audit. The
-  // constructor attaches chip sinks and, at level 2, schedules the first
-  // periodic pass.
+  // constructor attaches chip sinks and, at level 2, arms the pop-order
+  // check and schedules the first periodic pass; the destructor detaches
+  // both.
   SimulationAudit(Simulator* simulator, MemoryController* controller,
                   const Options& options);
   ~SimulationAudit() override;
@@ -94,7 +90,5 @@ class SimulationAudit : public ChipAuditSink {
 };
 
 }  // namespace dmasim
-
-#endif  // DMASIM_AUDIT_LEVEL >= 1
 
 #endif  // DMASIM_AUDIT_SIMULATION_AUDIT_H_

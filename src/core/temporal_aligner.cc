@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "audit/audit_config.h"
-
 namespace dmasim {
 
 TemporalAligner::TemporalAligner(const TemporalAlignmentConfig& config,
@@ -72,19 +70,15 @@ TemporalAligner::GateResult TemporalAligner::Gate(int chip,
                                                   Tick now) {
   DMASIM_EXPECTS(enabled());
   DMASIM_EXPECTS(transfer != nullptr);
-#if DMASIM_AUDIT_LEVEL >= 2
   // Lockstep audit: only a transfer's very first request may ever be
   // delayed — at gate time exactly one chunk has been issued (the one
   // being buffered) and none served.
   DMASIM_CHECK_EQ(transfer->issued_bytes, chunk_bytes);
   DMASIM_CHECK_EQ(transfer->completed_bytes, 0);
-#endif
   auto& list = gated_[static_cast<std::size_t>(chip)];
   transfer->blocked = true;
   transfer->gated_at = now;
-#if DMASIM_OBS >= 2
   transfer->obs_was_gated = true;
-#endif
 
   const Tick budget =
       TransferBudget(*transfer, chunk_bytes, slack_.mu(), slack_.t_request());

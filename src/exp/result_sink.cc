@@ -141,6 +141,15 @@ Json SimulationResultsToJson(const SimulationResults& results) {
     monitor.Set("hotness_error", results.monitor.hotness_error);
     json.Set("monitor", std::move(monitor));
   }
+
+  // And for the invariant auditor: every audited run performs at least
+  // its end-of-run pass, so a nonzero check count marks one.
+  if (results.audit_checks > 0) {
+    Json audit = Json::Object();
+    audit.Set("checks", results.audit_checks);
+    audit.Set("failures", results.audit_failures);
+    json.Set("audit", std::move(audit));
+  }
   return json;
 }
 

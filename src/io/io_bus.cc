@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-
 namespace dmasim {
 
 IoBus::IoBus(Simulator* simulator, int id, double bandwidth_bytes_per_second,
@@ -24,12 +23,10 @@ void IoBus::StartTransfer(DmaTransfer* transfer) {
   transfer->chunk_bytes = std::min<std::int64_t>(chunk_bytes_,
                                                  transfer->total_bytes);
   ++transfers_started_;
-#if DMASIM_OBS >= 2
   if (obs_tracer_ != nullptr) {
     obs_tracer_->BusTransferStart(simulator_->Now(), id_, transfer->id,
                                   transfer->total_bytes);
   }
-#endif
   MakeReady(transfer);
 }
 

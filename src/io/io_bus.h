@@ -15,14 +15,10 @@
 #include <deque>
 
 #include "io/dma_transfer.h"
-#include "obs/obs_config.h"
+#include "obs/event_trace.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/time.h"
-
-#if DMASIM_OBS >= 2
-#include "obs/event_trace.h"
-#endif
 
 namespace dmasim {
 
@@ -53,11 +49,9 @@ class IoBus {
 
   void SetSink(DmaRequestSink* sink) { sink_ = sink; }
 
-#if DMASIM_OBS >= 2
   // Attaches the observability tracer (null detaches): each transfer
   // entering the bus is recorded as an instant event on the bus lane.
   void SetObsTracer(EventTracer* tracer) { obs_tracer_ = tracer; }
-#endif
 
   // Begins pacing `transfer` (non-owning; the caller keeps it alive until
   // its completion callback runs).
@@ -114,9 +108,7 @@ class IoBus {
   std::uint64_t chunks_issued_ = 0;
   std::uint64_t transfers_started_ = 0;
 
-#if DMASIM_OBS >= 2
   EventTracer* obs_tracer_ = nullptr;
-#endif
 };
 
 }  // namespace dmasim

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-
 namespace dmasim {
 
 MemoryChip::MemoryChip(Simulator* simulator, const ChipPowerModel* model,
@@ -36,11 +35,9 @@ void MemoryChip::AccountTo(Tick when) {
     const JoulesEnergy joules = EnergyOver(power_mw_, Ticks(elapsed));
     energy_.Add(bucket_, joules);
     *time_slot_ += elapsed;
-#if DMASIM_AUDIT_LEVEL >= 1
     if (audit_sink_ != nullptr) {
       audit_sink_->OnEnergyAccounted(id_, bucket_, joules, Ticks(elapsed));
     }
-#endif
   }
   accounted_until_ = when;
 }
@@ -279,7 +276,6 @@ void MemoryChip::ResumeCoalescedService(Tick issue, ChipRequest request) {
   simulator_->ScheduleAt(issue + service, [this]() { ServeDone(); });
 }
 
-#if DMASIM_OBS >= 2
 void MemoryChip::ObsCloseResidency(Tick now) {
   if (obs_tracer_ == nullptr) return;
   if (now > obs_interval_start_) {
@@ -307,7 +303,6 @@ void MemoryChip::FlushObsResidency() {
   }
   obs_interval_start_ = now;
 }
-#endif
 
 void MemoryChip::BecomeIdleActive() {
   DMASIM_CHECK(!serving_ && !fsm_.transitioning());
@@ -370,12 +365,8 @@ bool MemoryChip::TryStepDown(int depth) {
 void MemoryChip::StartWake() {
   DMASIM_CHECK(!serving_);
   const Transition& transition = fsm_.BeginWake(*model_);
-#if DMASIM_AUDIT_LEVEL >= 1
   audit_transition_start_ = simulator_->Now();
-#endif
-#if DMASIM_OBS >= 2
   ObsCloseResidency(simulator_->Now());
-#endif
   SetAccounting(EnergyBucket::kTransition, transition.power_mw,
                 &stats_.transition);
   simulator_->ScheduleAfter(transition.duration, [this]() { TransitionDone(); });
@@ -384,12 +375,8 @@ void MemoryChip::StartWake() {
 void MemoryChip::StartStepDown(PowerState target) {
   DMASIM_CHECK(!serving_);
   const Transition& transition = fsm_.BeginStepDown(target, *model_);
-#if DMASIM_AUDIT_LEVEL >= 1
   audit_transition_start_ = simulator_->Now();
-#endif
-#if DMASIM_OBS >= 2
   ObsCloseResidency(simulator_->Now());
-#endif
   SetAccounting(EnergyBucket::kTransition, transition.power_mw,
                 &stats_.transition);
   simulator_->ScheduleAfter(transition.duration, [this]() { TransitionDone(); });
@@ -397,14 +384,11 @@ void MemoryChip::StartStepDown(PowerState target) {
 
 void MemoryChip::TransitionDone() {
   DMASIM_CHECK(fsm_.transitioning());
-#if DMASIM_AUDIT_LEVEL >= 1
   if (audit_sink_ != nullptr) {
     audit_sink_->OnPowerTransition(id_, fsm_.state(), fsm_.transition_target(),
                                    fsm_.transition_up(),
                                    audit_transition_start_, simulator_->Now());
   }
-#endif
-#if DMASIM_OBS >= 2
   if (obs_tracer_ != nullptr) {
     obs_tracer_->PowerTransition(id_, static_cast<int>(fsm_.state()),
                                  static_cast<int>(fsm_.transition_target()),
@@ -412,7 +396,6 @@ void MemoryChip::TransitionDone() {
                                  simulator_->Now());
     obs_interval_start_ = simulator_->Now();
   }
-#endif
   const bool woke = fsm_.CompleteTransition();
 
   if (woke) {

@@ -39,18 +39,14 @@ void DataServer::FinishRequest(Tick arrival, Tick dma_done,
   const Tick finish = dma_done + network_.MessageTime(reply_bytes) +
                       config_.request_compute_time;
   response_time_.Add(static_cast<double>(finish - arrival));
-#if DMASIM_OBS >= 1
   if (obs_.response_time != nullptr) {
     obs_.response_time->Add(static_cast<double>(finish - arrival));
   }
-#endif
-#if DMASIM_OBS >= 2
   if (obs_.tracer != nullptr) {
     // Writes acknowledge with an empty reply (reply_bytes == 0).
     obs_.tracer->ClientRequest(arrival, finish, /*is_write=*/reply_bytes == 0,
                                reply_bytes);
   }
-#endif
   if (done) done(finish);
 }
 

@@ -16,20 +16,14 @@
 #include "core/memory_controller.h"
 #include "disk/disk_model.h"
 #include "net/network_model.h"
-#include "obs/obs_config.h"
+#include "obs/event_trace.h"
 #include "server/buffer_cache.h"
 #include "sim/inline_function.h"
 #include "sim/simulator.h"
 #include "stats/accumulators.h"
+#include "stats/histogram.h"
 #include "util/random.h"
 #include "util/time.h"
-
-#if DMASIM_OBS >= 1
-#include "stats/histogram.h"
-#endif
-#if DMASIM_OBS >= 2
-#include "obs/event_trace.h"
-#endif
 
 namespace dmasim {
 
@@ -96,17 +90,13 @@ class DataServer {
   const BufferCache& cache() const { return cache_; }
   DiskArray& disks() { return disks_; }
 
-#if DMASIM_OBS >= 1
   // Observability hook points (SimulationObserver). Optional and inert
   // with respect to simulation behaviour.
   struct ObsHooks {
     Histogram* response_time = nullptr;  // Client response times, ticks.
-#if DMASIM_OBS >= 2
     EventTracer* tracer = nullptr;
-#endif
   };
   void SetObsHooks(const ObsHooks& hooks) { obs_ = hooks; }
-#endif
 
  private:
   int PickBus();
@@ -126,9 +116,7 @@ class DataServer {
   RunningMean response_time_;
   ServerStats stats_;
 
-#if DMASIM_OBS >= 1
   ObsHooks obs_;
-#endif
 };
 
 }  // namespace dmasim

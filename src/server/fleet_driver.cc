@@ -7,19 +7,11 @@
 #include <memory>
 #include <utility>
 
-#include "audit/audit_config.h"
-#include "exp/thread_pool.h"
-#include "util/random.h"
-
-#if DMASIM_AUDIT_LEVEL >= 1
 #include "audit/shard_audit.h"
 #include "audit/simulation_audit.h"
-#endif
-
-#include "obs/obs_config.h"
-#if DMASIM_OBS >= 1
+#include "exp/thread_pool.h"
 #include "obs/simulation_obs.h"
-#endif
+#include "util/random.h"
 
 namespace dmasim {
 
@@ -235,6 +227,9 @@ FleetResults RunFleet(const FleetOptions& options) {
   DMASIM_EXPECTS(options.remote_fraction >= 0.0 &&
                  options.remote_fraction <= 1.0);
   if (options.domains > 1) DMASIM_EXPECTS(options.remote_latency > 0);
+  DMASIM_EXPECTS(options.base.audit_level >= 0 &&
+                 options.base.audit_level <= 2);
+  DMASIM_EXPECTS(options.base.obs_level >= 0 && options.base.obs_level <= 2);
 
   FleetShared shared;
   shared.remote_latency = options.remote_latency;
@@ -254,7 +249,6 @@ FleetResults RunFleet(const FleetOptions& options) {
   engine_options.record_window_digests = options.record_window_digests;
   engine_options.fault = options.engine_fault;
   engine_options.sched_fuzz_seed = options.sched_fuzz_seed;
-#if DMASIM_AUDIT_LEVEL >= 1
   std::unique_ptr<ShardAudit> shard_audit;
   if (options.base.audit_level >= 1) {
     shard_audit = std::make_unique<ShardAudit>(
@@ -262,17 +256,12 @@ FleetResults RunFleet(const FleetOptions& options) {
                                  : InvariantAuditor::Mode::kCollect);
     engine_options.hooks = shard_audit.get();
   }
-#endif
   ShardedEngine engine(engine_options);
   shared.engine = &engine;
 
   std::deque<FleetDomain> domains;
-#if DMASIM_AUDIT_LEVEL >= 1
   std::vector<std::unique_ptr<SimulationAudit>> audits;
-#endif
-#if DMASIM_OBS >= 1
   std::vector<std::unique_ptr<SimulationObserver>> observers;
-#endif
   for (int i = 0; i < options.domains; ++i) {
     FleetDomain& domain = domains.emplace_back(i, &shared);
     domain.policy = MakePolicy(options.base.policy, options.base.thresholds,
@@ -301,11 +290,9 @@ FleetResults RunFleet(const FleetOptions& options) {
                                   [pumped]() { PumpDomain(pumped); });
     }
 
-#if DMASIM_AUDIT_LEVEL >= 1
     if (options.base.audit_level >= 1) {
       SimulationAudit::Options audit_options;
-      audit_options.level =
-          std::min(options.base.audit_level, DMASIM_AUDIT_LEVEL);
+      audit_options.level = options.base.audit_level;
       audit_options.period = options.base.audit_period;
       audit_options.mode = options.base.audit_abort
                                ? InvariantAuditor::Mode::kAbort
@@ -314,12 +301,10 @@ FleetResults RunFleet(const FleetOptions& options) {
       audits.push_back(std::make_unique<SimulationAudit>(
           &domain.simulator, domain.controller.get(), audit_options));
     }
-#endif
 
-#if DMASIM_OBS >= 1
     if (options.base.obs_level >= 1) {
       SimulationObserver::Options obs_options;
-      obs_options.level = std::min(options.base.obs_level, DMASIM_OBS);
+      obs_options.level = options.base.obs_level;
       obs_options.trace_capacity = options.base.obs_trace_capacity;
       obs_options.simulator = &domain.simulator;
       // Every domain's observer sees the shared engine, so any domain's
@@ -328,7 +313,6 @@ FleetResults RunFleet(const FleetOptions& options) {
       observers.push_back(std::make_unique<SimulationObserver>(
           domain.controller.get(), domain.server.get(), obs_options));
     }
-#endif
 
     FleetDomain* handled = &domain;
     engine.AddShard(&domain.simulator,
@@ -353,24 +337,20 @@ FleetResults RunFleet(const FleetOptions& options) {
     summary.results.workload = options.workload.name;
     summary.results.scheme = SchemeName(options.base.memory) + "/" +
                              PolicyKindName(options.base.policy);
-#if DMASIM_AUDIT_LEVEL >= 1
     if (options.base.audit_level >= 1) {
       SimulationAudit& audit = *audits[static_cast<std::size_t>(domain.index)];
       audit.Finish();
       summary.results.audit_checks = audit.auditor().checks_run();
       summary.results.audit_failures = audit.auditor().failures().size();
     }
-#endif
     CollectRunResults(&domain.simulator, domain.controller.get(),
                       domain.server.get(), &summary.results);
-#if DMASIM_OBS >= 1
     if (options.base.obs_level >= 1) {
       SimulationObserver& observer =
           *observers[static_cast<std::size_t>(domain.index)];
       observer.Finish();
       summary.results.metrics = observer.SnapshotMetrics();
     }
-#endif
     summary.remote_sent = domain.remote_sent;
     summary.remote_served = domain.remote_served;
     summary.remote_completed = domain.remote_completed;
@@ -391,12 +371,10 @@ FleetResults RunFleet(const FleetOptions& options) {
   if (options.record_window_digests) {
     fleet.window_digests = engine.window_digests();
   }
-#if DMASIM_AUDIT_LEVEL >= 1
   if (shard_audit != nullptr) {
     fleet.shard_audit_checks = shard_audit->checks_run();
     fleet.shard_audit_failures = shard_audit->auditor().failures().size();
   }
-#endif
   return fleet;
 }
 

@@ -65,7 +65,7 @@ struct FleetOptions {
   // real run; `fleet_scenario --engine-fault` plumbs it for the CI
   // divergence check).
   DMASIM_SHARED_CONST EngineFault engine_fault = EngineFault::kNone;
-  // DMASIM_SCHED_FUZZ builds only: nonzero perturbs worker scheduling.
+  // Nonzero perturbs worker scheduling (ShardedEngine::Options).
   DMASIM_SHARED_CONST std::uint64_t sched_fuzz_seed = 0;
 };
 

@@ -1,29 +1,15 @@
 #include "server/simulation_driver.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <utility>
 
-#include "audit/audit_config.h"
+#include "audit/simulation_audit.h"
 #include "exp/thread_pool.h"
+#include "obs/simulation_obs.h"
+#include "obs/trace_export.h"
 #include "sim/sharded_engine.h"
 #include "sim/simulator.h"
-
-#if DMASIM_AUDIT_LEVEL >= 1
-#include <memory>
-
-#include "audit/simulation_audit.h"
-#endif
-
-#if DMASIM_OBS >= 1
-#include <memory>
-
-#include "obs/simulation_obs.h"
-#endif
-#if DMASIM_OBS >= 2
-#include "obs/trace_export.h"
-#endif
 
 namespace dmasim {
 
@@ -202,6 +188,8 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
                            Tick duration, const SimulationOptions& options,
                            const std::string& workload_name) {
   DMASIM_EXPECTS(IsTimeSorted(trace));
+  DMASIM_EXPECTS(options.audit_level >= 0 && options.audit_level <= 2);
+  DMASIM_EXPECTS(options.obs_level >= 0 && options.obs_level <= 2);
 
   Simulator simulator;
   std::unique_ptr<LowPowerPolicy> policy =
@@ -216,11 +204,10 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
     simulator.ScheduleAt(trace[0].time, [&feeder]() { feeder.Pump(); });
   }
 
-#if DMASIM_AUDIT_LEVEL >= 1
   std::unique_ptr<SimulationAudit> audit;
   if (options.audit_level >= 1) {
     SimulationAudit::Options audit_options;
-    audit_options.level = std::min(options.audit_level, DMASIM_AUDIT_LEVEL);
+    audit_options.level = options.audit_level;
     audit_options.period = options.audit_period;
     audit_options.mode = options.audit_abort ? InvariantAuditor::Mode::kAbort
                                              : InvariantAuditor::Mode::kCollect;
@@ -228,7 +215,6 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
     audit = std::make_unique<SimulationAudit>(&simulator, &controller,
                                               audit_options);
   }
-#endif
 
   // Built before the observer so the obs layer can export the engine's
   // window/mailbox counters. One controller = one shard (one
@@ -242,18 +228,16 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
     engine->AddShard(&simulator, [](const ShardMessage&) {});
   }
 
-#if DMASIM_OBS >= 1
   std::unique_ptr<SimulationObserver> observer;
   if (options.obs_level >= 1) {
     SimulationObserver::Options obs_options;
-    obs_options.level = std::min(options.obs_level, DMASIM_OBS);
+    obs_options.level = options.obs_level;
     obs_options.trace_capacity = options.obs_trace_capacity;
     obs_options.simulator = &simulator;
     obs_options.engine = engine.get();
     observer = std::make_unique<SimulationObserver>(&controller, &server,
                                                     obs_options);
   }
-#endif
 
   const Tick end = duration + options.drain;
   if (engine != nullptr) {
@@ -263,22 +247,18 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
   simulator.RunUntil(end);
 
   SimulationResults results;
-#if DMASIM_AUDIT_LEVEL >= 1
   if (audit != nullptr) {
     audit->Finish();
     results.audit_checks = audit->auditor().checks_run();
     results.audit_failures = audit->auditor().failures().size();
   }
-#endif
   results.workload = workload_name;
   results.scheme = SchemeName(options.memory) + "/" +
                    PolicyKindName(options.policy);
   CollectRunResults(&simulator, &controller, &server, &results);
-#if DMASIM_OBS >= 1
   if (observer != nullptr) {
     observer->Finish();
     results.metrics = observer->SnapshotMetrics();
-#if DMASIM_OBS >= 2
     if (observer->tracer() != nullptr) {
       results.obs_events = observer->tracer()->size();
       results.obs_dropped_events = observer->tracer()->dropped();
@@ -288,9 +268,7 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
         DMASIM_CHECK_MSG(written, "failed to write observability trace");
       }
     }
-#endif
   }
-#endif
   return results;
 }
 

@@ -20,7 +20,6 @@
 #include "core/memory_controller.h"
 #include "mem/power_policy.h"
 #include "obs/metrics.h"
-#include "obs/obs_config.h"
 #include "server/data_server.h"
 #include "sim/simulator.h"
 #include "stats/energy.h"
@@ -67,10 +66,9 @@ struct SimulationOptions {
   int sim_threads = 1;
 
   // --- Runtime invariant auditing (src/audit/) ---------------------------
-  // Active only when the library is compiled with DMASIM_AUDIT_LEVEL >= 1;
-  // the effective level is min(audit_level, DMASIM_AUDIT_LEVEL).
-  // 0 = off, 1 = end-of-run registry pass, 2 = + periodic passes and
-  // transition-time validation.
+  // 0 = off, 1 = end-of-run registry pass, 2 = + periodic passes,
+  // transition-time validation and the event kernel's pop-order check.
+  // Every build honours it; values outside 0..2 are a contract error.
   int audit_level = 0;
   Tick audit_period = kMillisecond;  // Cadence of level-2 periodic passes.
   // Abort on a violated invariant (false collects failures into
@@ -83,11 +81,10 @@ struct SimulationOptions {
   const ChipPowerModel* audit_reference_model = nullptr;
 
   // --- Observability (src/obs/) ------------------------------------------
-  // Active only when the library is compiled with DMASIM_OBS >= 1; the
-  // effective level is min(obs_level, DMASIM_OBS). 0 = off, 1 = metrics
-  // registry, 2 = + structured event trace.
+  // 0 = off, 1 = metrics registry, 2 = + structured event trace. Every
+  // build honours it; values outside 0..2 are a contract error.
   int obs_level = 0;
-  // When non-empty (and the effective level is >= 2), the event trace is
+  // When non-empty (and obs_level is 2), the event trace is
   // written to this path as Chrome/Perfetto trace_event JSON.
   std::string obs_trace_path;
   // Event-trace buffer bound; events past it are dropped and counted in

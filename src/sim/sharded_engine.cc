@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#if DMASIM_SCHED_FUZZ
 #include <thread>
-#endif
 
 #include "exp/thread_pool.h"
 #include "util/random.h"
@@ -50,10 +48,8 @@ bool ParseEngineFault(std::string_view text, EngineFault* out) {
 
 ShardedEngine::ShardedEngine(const Options& options) : options_(options) {
   DMASIM_EXPECTS(options.lookahead >= 0);
-#if DMASIM_SCHED_FUZZ
   std::uint64_t seed_state = options.sched_fuzz_seed;
   fuzz_state_ = SplitMix64(seed_state);
-#endif
 }
 
 int ShardedEngine::AddShard(Simulator* simulator, MessageHandler handler) {
@@ -110,9 +106,7 @@ void ShardedEngine::DeliverMail(std::uint64_t window, Tick horizon) {
   const int n = shard_count();
   drain_order_.resize(static_cast<std::size_t>(n));
   std::iota(drain_order_.begin(), drain_order_.end(), 0);
-#if DMASIM_SCHED_FUZZ
   if (options_.sched_fuzz_seed != 0) FuzzPermute(&drain_order_);
-#endif
   if (options_.hooks != nullptr) {
     options_.hooks->OnBarrier(window, &drain_order_);
   }
@@ -180,11 +174,6 @@ void ShardedEngine::DeliverMail(std::uint64_t window, Tick horizon) {
 void ShardedEngine::Run(Tick until, ThreadPool* pool) {
   DMASIM_EXPECTS(shard_count() > 0);
   DMASIM_EXPECTS(until < std::numeric_limits<Tick>::max());
-#if !DMASIM_SCHED_FUZZ
-  // Refuse, rather than ignore, a fuzz seed the build can't honor: a
-  // fuzz campaign must not silently measure the unperturbed schedule.
-  DMASIM_CHECK_EQ(options_.sched_fuzz_seed, 0u);
-#endif
   const int n = shard_count();
   if (n > 1) DMASIM_EXPECTS(options_.lookahead > 0);
   running_ = true;
@@ -214,11 +203,9 @@ void ShardedEngine::Run(Tick until, ThreadPool* pool) {
 
     drain_order_.resize(static_cast<std::size_t>(n));
     std::iota(drain_order_.begin(), drain_order_.end(), 0);
-#if DMASIM_SCHED_FUZZ
     // Perturbed submit/execution order: share-nothing windows make the
     // order immaterial, which is exactly what this checks.
     if (options_.sched_fuzz_seed != 0) FuzzPermute(&drain_order_);
-#endif
     if (pool != nullptr && n > 1) {
       for (int index : drain_order_) {
         Shard* task_shard = &shards_[static_cast<std::size_t>(index)];
@@ -241,7 +228,6 @@ void ShardedEngine::Run(Tick until, ThreadPool* pool) {
   running_ = false;
 }
 
-#if DMASIM_SCHED_FUZZ
 void ShardedEngine::FuzzBackoff(std::uint64_t window, int index) {
   std::uint64_t state = options_.sched_fuzz_seed ^
                         (window * 0x9e3779b97f4a7c15ULL) ^
@@ -252,7 +238,7 @@ void ShardedEngine::FuzzBackoff(std::uint64_t window, int index) {
   volatile std::uint32_t sink = 0;
   for (std::uint32_t i = 0, end = static_cast<std::uint32_t>(draw % 997);
        i < end; ++i) {
-    sink += i;
+    sink = sink + i;
   }
 }
 
@@ -263,6 +249,5 @@ void ShardedEngine::FuzzPermute(std::vector<int>* order) {
     std::swap((*order)[i - 1], (*order)[j]);
   }
 }
-#endif
 
 }  // namespace dmasim

@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "audit/audit_config.h"
 #include "sim/inline_function.h"
 #include "sim/shard_annotations.h"
 #include "util/check.h"
@@ -72,46 +71,19 @@ class Simulator {
 
   // Executes the earliest pending event. Returns false if none remain.
   bool Step() {
-    if (!EnsureServing()) return false;
-    // The callback may schedule into the serving bucket (reallocating it),
-    // so copy the event out first; events are trivially copyable.
-    const Event event = serving_[serving_pos_++];
-    DMASIM_CHECK_GE(event.when, now_);
-#if DMASIM_AUDIT_LEVEL >= 2
-    // Calendar-queue FIFO audit: pops must advance in strict
-    // (time, sequence) lexicographic order — the property the wheel's
-    // bucketing, cascades, and overflow refills all exist to preserve.
-    if (stepped_ > 0) {
-      DMASIM_CHECK_MSG(event.when > audit_last_when_ ||
-                           (event.when == audit_last_when_ &&
-                            event.sequence > audit_last_sequence_),
-                       "event kernel popped events out of (time, seq) order");
-    }
-    audit_last_when_ = event.when;
-    audit_last_sequence_ = event.sequence;
-#endif
-    now_ = event.when;
-    ++executed_;
-    ++stepped_;
-    --size_;
-    Callback callback = event.callback;
-    callback();
-    return true;
+    return pop_order_check_ ? StepImpl<true>() : StepImpl<false>();
   }
 
   // Runs until the event queue is drained.
   void Run() {
-    while (Step()) {
-    }
+    RunWhile([](Tick) { return true; });
   }
 
   // Runs events with timestamps <= `until`, then advances the clock to
   // exactly `until` (even if no event lands there).
   void RunUntil(Tick until) {
     DMASIM_EXPECTS(until >= now_);
-    while (EnsureServing() && serving_[serving_pos_].when <= until) {
-      Step();
-    }
+    RunWhile([until](Tick when) { return when <= until; });
     now_ = until;
   }
 
@@ -123,12 +95,7 @@ class Simulator {
   // at the horizon still satisfy ScheduleAt's `when >= Now()` contract.
   // Returns the number of events executed.
   std::uint64_t RunEventsBefore(Tick bound) {
-    std::uint64_t ran = 0;
-    while (EnsureServing() && serving_[serving_pos_].when < bound) {
-      Step();
-      ++ran;
-    }
-    return ran;
+    return RunWhile([bound](Tick when) { return when < bound; });
   }
 
   // Timestamp of the earliest pending event, or `kNoPendingEvent` when the
@@ -168,6 +135,12 @@ class Simulator {
     std::uint64_t max_overflow_events = 0; // Overflow population peak.
   };
   const CalendarStats& calendar_stats() const { return calendar_; }
+
+  // Arms (true) or disarms the per-pop FIFO-order check. A level-2
+  // SimulationAudit arms it while attached; disarmed it costs nothing per
+  // event (the loops below choose their instantiation once per call).
+  void set_pop_order_check(bool armed) { pop_order_check_ = armed; }
+  bool pop_order_check() const { return pop_order_check_; }
 
   // Logical-event accounting for coalesced fast paths: when a component
   // serves a whole run of per-chunk events inside one scheduled event, it
@@ -427,11 +400,62 @@ class Simulator {
   DMASIM_SHARD_LOCAL std::vector<Event> cascade_;
   DMASIM_SHARD_LOCAL CalendarStats calendar_;
 
-#if DMASIM_AUDIT_LEVEL >= 2
-  // Last popped (when, sequence), for the FIFO-order audit in Step().
+  template <bool kCheckPopOrder>
+  bool StepImpl() {
+    if (!EnsureServing()) return false;
+    // The callback may schedule into the serving bucket (reallocating it),
+    // so copy the event out first; events are trivially copyable.
+    const Event event = serving_[serving_pos_++];
+    DMASIM_CHECK_GE(event.when, now_);
+    if constexpr (kCheckPopOrder) CheckPopOrder(event);
+    now_ = event.when;
+    ++executed_;
+    ++stepped_;
+    --size_;
+    Callback callback = event.callback;
+    callback();
+    return true;
+  }
+
+  // The event loops read the pop-order flag once per call, not once per
+  // event: even a predictable per-event branch cost a few percent of
+  // throughput on probe-dense runs. Arming the check from inside an event
+  // takes effect at the next Step/Run call.
+  template <typename InBound>
+  std::uint64_t RunWhile(InBound in_bound) {
+    return pop_order_check_ ? RunLoop<true>(in_bound)
+                            : RunLoop<false>(in_bound);
+  }
+  template <bool kCheckPopOrder, typename InBound>
+  std::uint64_t RunLoop(InBound in_bound) {
+    std::uint64_t ran = 0;
+    while (EnsureServing() && in_bound(serving_[serving_pos_].when)) {
+      StepImpl<kCheckPopOrder>();
+      ++ran;
+    }
+    return ran;
+  }
+
+  // Calendar-queue FIFO audit, armed by a level-2 SimulationAudit: pops
+  // must advance in strict (time, sequence) lexicographic order — the
+  // property the wheel's bucketing, cascades, and overflow refills all
+  // exist to preserve. The last popped pair is only tracked while armed;
+  // a stale pair from an earlier armed stretch is still a valid lower
+  // bound, so re-arming needs no reset.
+  void CheckPopOrder(const Event& event) {
+    if (stepped_ > 0) {
+      DMASIM_CHECK_MSG(event.when > audit_last_when_ ||
+                           (event.when == audit_last_when_ &&
+                            event.sequence > audit_last_sequence_),
+                       "event kernel popped events out of (time, seq) order");
+    }
+    audit_last_when_ = event.when;
+    audit_last_sequence_ = event.sequence;
+  }
+
+  DMASIM_SHARD_LOCAL bool pop_order_check_ = false;
   DMASIM_SHARD_LOCAL Tick audit_last_when_ = 0;
   DMASIM_SHARD_LOCAL std::uint64_t audit_last_sequence_ = 0;
-#endif
 };
 
 }  // namespace dmasim

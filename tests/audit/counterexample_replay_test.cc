@@ -5,14 +5,11 @@
 // MemoryController under the level-2 audit and asserting the auditor
 // catches it -- and that the identical drive on the pristine model stays
 // clean, so the failure is attributable to the fault, not the mapping.
-//
-// Linked against dmasim_audited (always DMASIM_AUDIT_LEVEL=2).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
-#include "audit/audit_config.h"
 #include "audit/simulation_audit.h"
 #include "check/counterexample.h"
 #include "core/memory_controller.h"
@@ -24,9 +21,6 @@
 #ifndef DMASIM_SOURCE_DIR
 #error "DMASIM_SOURCE_DIR must point at the repository root"
 #endif
-
-static_assert(dmasim::kCompiledAuditLevel >= 2,
-              "replay tests must link the level-2 library variant");
 
 namespace dmasim {
 namespace {

@@ -1,6 +1,5 @@
 // Unit tests for the audit registry and the power-state transition
-// validator (src/audit/). These link dmasim_audited (DMASIM_AUDIT_LEVEL=2)
-// but the classes under test are ordinary code at any level.
+// validator (src/audit/).
 #include <gtest/gtest.h>
 
 #include <string>

@@ -2,17 +2,16 @@
 // pass every registered invariant at level 2, and a deliberately seeded
 // fault (a chip model that skips the nap resync delay) is caught by the
 // power-state legality invariant.
-//
-// Linked against dmasim_audited, which is always compiled with
-// DMASIM_AUDIT_LEVEL=2 regardless of the main library's level.
 #include <gtest/gtest.h>
 
-#include "audit/audit_config.h"
-#include "server/simulation_driver.h"
-#include "trace/workloads.h"
+#include <memory>
+#include <optional>
 
-static_assert(dmasim::kCompiledAuditLevel >= 2,
-              "audit tests must link the level-2 library variant");
+#include "audit/simulation_audit.h"
+#include "core/memory_controller.h"
+#include "server/simulation_driver.h"
+#include "sim/simulator.h"
+#include "trace/workloads.h"
 
 namespace dmasim {
 namespace {
@@ -28,6 +27,81 @@ SimulationOptions AuditedOptions() {
   options.audit_level = 2;
   options.audit_abort = false;  // Collect, so the test can assert counts.
   return options;
+}
+
+// Auditing is read-only: a level-2 audited run reproduces the unaudited
+// run on every simulated outcome. Its periodic passes are extra kernel
+// events (one per audit period up to the run end), so those are the only
+// allowed difference in the event count.
+TEST(SimulationAuditTest, AuditedRunMatchesUnauditedRunExactly) {
+  const WorkloadSpec spec = ShortWorkload();  // Long enough to migrate.
+  SimulationOptions baseline;
+  SimulationOptions ta = baseline;
+  ta.memory.dma.ta.enabled = true;
+  ta.memory.dma.ta.mu = 2.0;
+  SimulationOptions ta_pl = ta;
+  ta_pl.memory.dma.pl.enabled = true;
+  ta_pl.memory.dma.pl.groups = 2;
+
+  for (const SimulationOptions& scheme : {baseline, ta, ta_pl}) {
+    SimulationOptions audited = scheme;
+    audited.audit_level = 2;
+    audited.audit_abort = false;
+    const SimulationResults off = RunWorkload(spec, scheme);
+    const SimulationResults on = RunWorkload(spec, audited);
+    SCOPED_TRACE(off.scheme + (scheme.memory.dma.pl.enabled ? "+PL" : ""));
+
+    for (int i = 0; i < kEnergyBucketCount; ++i) {
+      const auto bucket = static_cast<EnergyBucket>(i);
+      EXPECT_EQ(off.energy.Of(bucket), on.energy.Of(bucket))
+          << EnergyBucketName(bucket);
+    }
+    EXPECT_EQ(off.utilization_factor, on.utilization_factor);
+    EXPECT_EQ(off.client_response.Count(), on.client_response.Count());
+    EXPECT_EQ(off.client_response.Sum(), on.client_response.Sum());
+    EXPECT_EQ(off.chunk_service.Sum(), on.chunk_service.Sum());
+    EXPECT_EQ(off.transfer_latency.Sum(), on.transfer_latency.Sum());
+    EXPECT_EQ(off.controller.transfers_started,
+              on.controller.transfers_started);
+    EXPECT_EQ(off.controller.transfers_completed,
+              on.controller.transfers_completed);
+    EXPECT_EQ(off.controller.migrations, on.controller.migrations);
+    if (scheme.memory.dma.pl.enabled) {
+      EXPECT_GT(off.controller.migrations, 0u);
+    }
+    EXPECT_EQ(off.server.reads, on.server.reads);
+    EXPECT_EQ(off.server.misses, on.server.misses);
+    EXPECT_EQ(off.gated_requests, on.gated_requests);
+    EXPECT_EQ(off.releases_by_quorum, on.releases_by_quorum);
+    EXPECT_EQ(off.releases_by_slack, on.releases_by_slack);
+    EXPECT_EQ(off.max_gated_buffer_bytes, on.max_gated_buffer_bytes);
+    EXPECT_EQ(off.hottest_chip_share, on.hottest_chip_share);
+    const Tick end = spec.duration + scheme.drain;
+    EXPECT_EQ(on.executed_events - off.executed_events,
+              static_cast<std::uint64_t>(end / audited.audit_period));
+
+    // The audited run really audited, and found nothing.
+    EXPECT_EQ(off.audit_checks, 0u);
+    EXPECT_GT(on.audit_checks, 0u);
+    EXPECT_EQ(on.audit_failures, 0u);
+  }
+
+  // Only a level-2 audit arms the kernel's per-pop FIFO check, and only
+  // while it is attached.
+  Simulator simulator;
+  const std::unique_ptr<LowPowerPolicy> policy =
+      MakePolicy(PolicyKind::kDynamic, DynamicThresholdConfig{});
+  MemoryController controller(&simulator, MemorySystemConfig{}, policy.get());
+  SimulationAudit::Options options;
+  options.mode = InvariantAuditor::Mode::kCollect;
+  for (int level : {1, 2}) {
+    options.level = level;
+    std::optional<SimulationAudit> audit;
+    audit.emplace(&simulator, &controller, options);
+    EXPECT_EQ(simulator.pop_order_check(), level == 2) << "level " << level;
+    audit.reset();
+    EXPECT_FALSE(simulator.pop_order_check()) << "level " << level;
+  }
 }
 
 TEST(SimulationAuditTest, BaselineCleanRunPassesAllInvariants) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "io/dma_transfer.h"
 
 namespace dmasim {
@@ -32,6 +34,10 @@ DmaTransfer MakeTransfer(std::uint64_t id, int bus,
   transfer.id = id;
   transfer.bus_id = bus;
   transfer.total_bytes = bytes;
+  // The bus has issued the first request (512 B here, or the whole of a
+  // smaller transfer) before the controller asks DMA-TA to gate it; Gate
+  // checks that lockstep state.
+  transfer.issued_bytes = std::min<std::int64_t>(bytes, 512);
   return transfer;
 }
 

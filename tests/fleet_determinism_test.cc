@@ -142,6 +142,50 @@ TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
   }
 }
 
+// The dynamic layer of the determinism proof kit (DESIGN.md section 15)
+// on a real fleet: schedule-perturbation seeds (worker backoff, permuted
+// submit and drain orders) must reproduce the unperturbed run's
+// fingerprint and every per-window digest, and the detector must be able
+// to fail — with the barrier sort skipped, some seed has to diverge.
+FleetOptions FuzzedFleet(std::uint64_t seed, EngineFault fault) {
+  FleetOptions options;
+  options.workload = OltpStorageSpec();
+  options.workload.duration = 5 * kMillisecond;
+  options.domains = 8;
+  options.streams_per_domain = 2048;
+  options.sim_threads = 4;
+  options.record_window_digests = true;
+  options.sched_fuzz_seed = seed;
+  options.engine_fault = fault;
+  return options;
+}
+
+TEST(FleetFuzzDeterminismTest, PerturbationSeedsMatchUnperturbedRun) {
+  const FleetResults base = RunFleet(FuzzedFleet(0, EngineFault::kNone));
+  ASSERT_GT(base.remote_completed, 0u);
+  ASSERT_FALSE(base.window_digests.empty());
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const FleetResults fuzzed =
+        RunFleet(FuzzedFleet(seed, EngineFault::kNone));
+    EXPECT_EQ(fuzzed.Fingerprint(), base.Fingerprint()) << "seed " << seed;
+    EXPECT_EQ(fuzzed.window_digests, base.window_digests) << "seed " << seed;
+  }
+}
+
+TEST(FleetFuzzDeterminismTest, SkippedBarrierSortDivergesUnderSomeSeed) {
+  // Compared against the faulted run's own unperturbed schedule, so only
+  // the perturbation (not the fault alone) can make a seed diverge.
+  const FleetResults base =
+      RunFleet(FuzzedFleet(0, EngineFault::kSkipBarrierSort));
+  bool diverged = false;
+  for (std::uint64_t seed = 1; seed <= 8 && !diverged; ++seed) {
+    const FleetResults faulted =
+        RunFleet(FuzzedFleet(seed, EngineFault::kSkipBarrierSort));
+    diverged = faulted.window_digests != base.window_digests;
+  }
+  EXPECT_TRUE(diverged);
+}
+
 // The single-system driver accepts --sim-threads too: one controller is
 // one shard, so the sharded path must reproduce the serial path on the
 // whole SimulationResults surface, not just a digest.

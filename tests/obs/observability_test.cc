@@ -2,9 +2,6 @@
 // change any simulation result, the event trace's power-state residency
 // must reconcile exactly with the chips' time/energy accounting, and the
 // exported artifacts must be structurally sound.
-//
-// Linked against dmasim_observed, which is always compiled with
-// DMASIM_OBS=2 regardless of the main library's level.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,16 +12,12 @@
 
 #include "core/memory_controller.h"
 #include "mem/power_policy.h"
-#include "obs/obs_config.h"
 #include "obs/simulation_obs.h"
 #include "obs/trace_export.h"
 #include "server/fleet_driver.h"
 #include "server/simulation_driver.h"
 #include "sim/simulator.h"
 #include "trace/workloads.h"
-
-static_assert(dmasim::kCompiledObsLevel >= 2,
-              "obs tests must link the level-2 library variant");
 
 namespace dmasim {
 namespace {

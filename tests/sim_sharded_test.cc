@@ -553,14 +553,9 @@ TEST(ShardedEngineTest, WindowDigestsAreBitIdenticalAcrossPoolSizes) {
   EXPECT_EQ(run_digests(&pool), serial);
 }
 
-// The dynamic layer of the determinism proof kit. In a
-// -DDMASIM_SCHED_FUZZ=1 build, nonzero seeds perturb worker backoff, the
-// window submit order, and the pre-sort drain order — and every result
-// must stay bit-identical to the unperturbed run. In ordinary builds the
-// engine must refuse a nonzero seed rather than silently run
-// unperturbed (a fuzz campaign measuring nothing would be worse than no
-// campaign).
-#if DMASIM_SCHED_FUZZ
+// The dynamic layer of the determinism proof kit: nonzero seeds perturb
+// worker backoff, the window submit order, and the pre-sort drain order
+// — and every result must stay bit-identical to the unperturbed run.
 TEST(ShardedEngineFuzzTest, PerturbationSeedsAreBitIdentical) {
   auto run = [](std::uint64_t seed, int threads) {
     ShardedEngine::Options options;
@@ -595,24 +590,6 @@ TEST(ShardedEngineFuzzTest, PerturbationSeedsAreBitIdentical) {
     EXPECT_EQ(run(seed, /*threads=*/3), baseline) << "seed " << seed;
   }
 }
-#else
-TEST(ShardedEngineFuzzDeathTest, OrdinaryBuildRefusesFuzzSeed) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ShardedEngine::Options options;
-        options.lookahead = 50;
-        options.sched_fuzz_seed = 7;
-        ShardedEngine engine(options);
-        std::deque<Simulator> sims(1);
-        engine.AddShard(&sims[0], [](const ShardMessage&) {});
-        sims[0].ScheduleAt(10, []() {});
-        engine.Run(1000, /*pool=*/nullptr);
-      },
-      "sched_fuzz_seed");
-}
-#endif
-
 TEST(ShardedEngineDeathTest, SendBelowTheHorizonIsRefused) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

@@ -15,20 +15,27 @@
 namespace dmasim {
 namespace {
 
+// Every kernel test runs with the per-pop FIFO-order check armed (a
+// level-2 SimulationAudit arms the same check in audited runs), so an
+// ordering bug aborts at the offending pop, not only where a test looks.
+struct CheckedSimulator : Simulator {
+  CheckedSimulator() { set_pop_order_check(true); }
+};
+
 TEST(SimulatorTest, StartsAtZero) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   EXPECT_EQ(simulator.Now(), 0);
   EXPECT_EQ(simulator.PendingEvents(), 0u);
   EXPECT_EQ(simulator.ExecutedEvents(), 0u);
 }
 
 TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   EXPECT_FALSE(simulator.Step());
 }
 
 TEST(SimulatorTest, ExecutesInTimeOrder) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<int> order;
   simulator.ScheduleAt(30, [&]() { order.push_back(3); });
   simulator.ScheduleAt(10, [&]() { order.push_back(1); });
@@ -39,7 +46,7 @@ TEST(SimulatorTest, ExecutesInTimeOrder) {
 }
 
 TEST(SimulatorTest, FifoAtEqualTimestamps) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
     simulator.ScheduleAt(100, [&order, i]() { order.push_back(i); });
@@ -49,7 +56,7 @@ TEST(SimulatorTest, FifoAtEqualTimestamps) {
 }
 
 TEST(SimulatorTest, ClockAdvancesDuringEvent) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   Tick observed = -1;
   simulator.ScheduleAt(55, [&]() { observed = simulator.Now(); });
   simulator.Run();
@@ -57,7 +64,7 @@ TEST(SimulatorTest, ClockAdvancesDuringEvent) {
 }
 
 TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   Tick observed = -1;
   simulator.ScheduleAt(40, [&]() {
     simulator.ScheduleAfter(5, [&]() { observed = simulator.Now(); });
@@ -67,7 +74,7 @@ TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
 }
 
 TEST(SimulatorTest, EventsCanScheduleAtSameTime) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<int> order;
   simulator.ScheduleAt(10, [&]() {
     order.push_back(1);
@@ -79,7 +86,7 @@ TEST(SimulatorTest, EventsCanScheduleAtSameTime) {
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundary) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<int> fired;
   simulator.ScheduleAt(10, [&]() { fired.push_back(10); });
   simulator.ScheduleAt(20, [&]() { fired.push_back(20); });
@@ -91,14 +98,14 @@ TEST(SimulatorTest, RunUntilStopsAtBoundary) {
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockWithoutEvents) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   simulator.RunUntil(1000);
   EXPECT_EQ(simulator.Now(), 1000);
 }
 
 TEST(SimulatorTest, RunUntilHandlesSelfRescheduling) {
   // A periodic event must not prevent RunUntil from returning.
-  Simulator simulator;
+  CheckedSimulator simulator;
   struct Periodic {
     Simulator* simulator;
     int fires = 0;
@@ -114,7 +121,7 @@ TEST(SimulatorTest, RunUntilHandlesSelfRescheduling) {
 }
 
 TEST(SimulatorTest, CountsExecutedEvents) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   for (int i = 0; i < 5; ++i) {
     simulator.ScheduleAt(i, []() {});
   }
@@ -125,7 +132,7 @@ TEST(SimulatorTest, CountsExecutedEvents) {
 }
 
 TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   int fired = 0;
   simulator.ScheduleAt(1, [&]() { ++fired; });
   simulator.ScheduleAt(2, [&]() { ++fired; });
@@ -139,7 +146,7 @@ TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
 TEST(SimulatorTest, InterleavedSchedulingKeepsDeterministicOrder) {
   // Two "components" scheduling against each other must interleave in a
   // reproducible way.
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<std::string> log;
   std::function<void(int)> ping = [&](int round) {
     log.push_back("ping" + std::to_string(round));
@@ -171,7 +178,7 @@ constexpr Tick kWheelHorizon = Tick{1} << 39;
 TEST(SimulatorCalendarTest, FifoAtEqualTimestampAcrossBucketBoundary) {
   // Equal-timestamp events scheduled before and after the wheel rotates
   // past their bucket must still run in scheduling order.
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<int> order;
   const Tick when = 3 * kBucketSpan + 17;  // Not in the serving bucket.
   for (int i = 0; i < 8; ++i) {
@@ -192,7 +199,7 @@ TEST(SimulatorCalendarTest, FifoAtEqualTimestampAcrossBucketBoundary) {
 TEST(SimulatorCalendarTest, SparseFarFutureTimestamps) {
   // One event per routing tier: serving bucket, later level-0 bucket,
   // level-1 span, and past-the-horizon overflow.
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<Tick> fired;
   const std::vector<Tick> times = {
       5,
@@ -217,7 +224,7 @@ TEST(SimulatorCalendarTest, ScheduleBehindParkedWheel) {
   // RunUntil with an empty queue (or a far-future event) parks the wheel
   // past the clock; subsequent schedules land "behind" the serving bucket
   // and must still execute, in FIFO order at equal timestamps.
-  Simulator simulator;
+  CheckedSimulator simulator;
   simulator.ScheduleAt(2 * kLevel1Span, []() {});
   simulator.RunUntil(kLevel1Span);  // Clock in the gap before the event.
   ASSERT_EQ(simulator.Now(), kLevel1Span);
@@ -237,7 +244,7 @@ TEST(SimulatorCalendarTest, OverflowRefillsBeforeLaterInWindowEvent) {
   // schedule time) must execute before a later event that only entered
   // the level-1 window after the wheel advanced. The wheel must not
   // cascade a level-1 bucket at or past the earliest overflow span.
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<Tick> fired;
   const Tick advance = 600 * kLevel1Span;  // Moves the wheel when it runs.
   const Tick parked = 1500 * kLevel1Span;  // Past the horizon at t = 0.
@@ -256,7 +263,7 @@ TEST(SimulatorCalendarTest, OverflowSharingSpanWithLevel1EventKeepsOrder) {
   // Same shape, but the overflow event and the later-scheduled in-window
   // event land in the SAME level-1 span, overflow event first in time:
   // the refill must merge into the span before it cascades.
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<Tick> fired;
   const Tick advance = 600 * kLevel1Span;
   const Tick parked = 1500 * kLevel1Span + kBucketSpan;
@@ -304,7 +311,7 @@ TEST(SimulatorCalendarTest, GoldenOrderMatchesBinaryHeapReplay) {
   std::stable_sort(expected.begin(), expected.end(),
                    [&times](int a, int b) { return times[a] < times[b]; });
 
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::vector<int> observed;
   for (std::size_t i = 0; i < times.size(); ++i) {
     simulator.ScheduleAt(times[i], [&observed, i]() {
@@ -319,7 +326,7 @@ TEST(SimulatorCalendarTest, GenerationCounterCancellation) {
   // The in-repo timer idiom: events capture a generation snapshot and
   // no-op when the counter moved on. The kernel has no remove operation,
   // so cancelled timers must stay executable (and counted) but inert.
-  Simulator simulator;
+  CheckedSimulator simulator;
   std::uint64_t generation = 0;
   int fired = 0;
   auto arm = [&](Tick delay) {
@@ -340,7 +347,7 @@ TEST(SimulatorCalendarTest, SteppedMatchesExecutedWithoutCoalescing) {
   // SteppedEvents counts real queue pops; ExecutedEvents is the logical
   // count that coalescing layers keep invariant via CreditExecuted. With
   // no coalescing in play the two must agree.
-  Simulator simulator;
+  CheckedSimulator simulator;
   for (int i = 0; i < 7; ++i) {
     simulator.ScheduleAt(i * kBucketSpan, []() {});
   }
@@ -350,7 +357,7 @@ TEST(SimulatorCalendarTest, SteppedMatchesExecutedWithoutCoalescing) {
 }
 
 TEST(SimulatorCalendarTest, NextPendingTickPeeksWithoutExecuting) {
-  Simulator simulator;
+  CheckedSimulator simulator;
   EXPECT_EQ(simulator.NextPendingTick(), Simulator::kNoPendingEvent);
   simulator.ScheduleAt(42, []() {});
   simulator.ScheduleAt(7, []() {});
